@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# The seed inner loop the search-throughput bench measures against lives
+# in tests/reference/ (imported as ``reference``). tests/ is not a
+# package, and a bench-only run never loads tests/conftest.py, so put it
+# on the path here.
+sys.path.insert(0, str(ROOT / "tests"))
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
 

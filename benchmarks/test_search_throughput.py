@@ -4,12 +4,13 @@ Table II splits FastFT's per-step cost into optimization, estimation and
 evaluation; PR 2 and the evaluation cache attacked the evaluation bucket,
 and this benchmark tracks the other two. It runs the same seeded search
 twice with the downstream oracle mocked out to a constant-time stub — so
-wall time is pure optimization + estimation — once with
-``inner_loop="naive"`` (the seed implementation: dict-of-columns
-FeatureSpace, full MI/state recomputation per step, three sequence encodes
-per novelty score) and once with ``inner_loop="arena"`` (columnar arena,
-incremental state/MI caches, fused estimation passes), verifies the two
-trajectories are *bit-identical* step for step, and records steps/sec.
+wall time is pure optimization + estimation — once as the "naive" arm,
+``reference.SeedLoopSession`` from ``tests/reference/`` (the seed
+implementation: dict-of-columns FeatureSpace, full MI/state recomputation
+per step, three sequence encodes per novelty score) and once as the
+"arena" arm, the runtime ``SearchSession`` (columnar arena, incremental
+state/MI caches, fused estimation passes), verifies the two trajectories
+are *bit-identical* step for step, and records steps/sec.
 
 Timing notes: like fig10 this is a wall-time ratio and contention-
 sensitive (``@pytest.mark.serial`` — never time it while other CPU-heavy
@@ -30,10 +31,12 @@ import time
 import numpy as np
 import pytest
 
+from reference import SeedLoopSession
 from repro.core.config import FastFTConfig
 from repro.core.session import SearchSession
 
 ROUNDS = 2
+ARMS = {"naive": SeedLoopSession, "arena": SearchSession}
 
 
 class _StubOracle:
@@ -60,7 +63,7 @@ def _search_problem(n: int = 2000, d: int = 30):
     return X, y
 
 
-def _search_config(profile, inner_loop: str) -> FastFTConfig:
+def _search_config(profile) -> FastFTConfig:
     smoke = profile.name == "smoke"
     return FastFTConfig(
         episodes=3,
@@ -74,17 +77,16 @@ def _search_config(profile, inner_loop: str) -> FastFTConfig:
         trigger_warmup=2,
         max_clusters=4,
         seed=0,
-        inner_loop=inner_loop,
     )
 
 
-def _run_arm(inner_loop: str, profile, X, y):
+def _run_arm(arm: str, profile, X, y):
     best_t = float("inf")
     reference = None
     for _ in range(ROUNDS):
-        session = SearchSession(
+        session = ARMS[arm](
             X, y, "classification",
-            config=_search_config(profile, inner_loop),
+            config=_search_config(profile),
             evaluator=_StubOracle(),
         )
         session.start()
@@ -124,7 +126,7 @@ def test_search_throughput(profile, save_report):
             f"matrix: {X.shape[0]} x {X.shape[1]} (binary classification), "
             f"{n_steps} steps to the {naive.history[-1].n_features}-feature cap, "
             f"best of {ROUNDS} rounds",
-            f"{'inner_loop':12s} {'seconds':>9s} {'steps/sec':>10s}",
+            f"{'inner loop':12s} {'seconds':>9s} {'steps/sec':>10s}",
             f"{'naive':12s} {naive_t:9.3f} {n_steps / naive_t:10.2f}",
             f"{'arena':12s} {arena_t:9.3f} {n_steps / arena_t:10.2f}",
             f"speedup: {speedup:.2f}x  (trajectories bit-identical: {identical})",

@@ -85,11 +85,6 @@ class FastFTConfig:
     oracle_engine: str = "presort"
     # Worker processes for fold-parallel CV (1 = serial, -1 = all cores).
     cv_jobs: int = 1
-    # Search inner-loop implementation: "arena" (columnar FeatureSpace
-    # arena + incremental state/MI caches + fused estimation passes,
-    # bit-identical to the reference) or "naive" (the seed implementation,
-    # kept as the reference arm of benchmarks/test_search_throughput.py).
-    inner_loop: str = "arena"
     # Oracle scheduling: "serial" runs triggered evaluations inside the
     # step (the paper's timeline and the pinned GOLDEN_DIGESTS arm);
     # "async" defers them to an AsyncOracle pool while the search advances
@@ -153,8 +148,10 @@ class FastFTConfig:
             raise ValueError("seq_model must be lstm, rnn or transformer")
         if self.oracle_engine not in ("naive", "presort"):
             raise ValueError("oracle_engine must be 'naive' or 'presort'")
-        if self.inner_loop not in ("arena", "naive"):
-            raise ValueError("inner_loop must be 'arena' or 'naive'")
+        # Clustering estimates MI on at most this many rows; a zero-row
+        # subsample leaves nothing to discretize.
+        if self.mi_max_rows < 1:
+            raise ValueError(f"mi_max_rows must be >= 1, got {self.mi_max_rows}")
         if self.cv_jobs < 1 and self.cv_jobs != -1:
             raise ValueError("cv_jobs must be >= 1 or -1 (all cores)")
         if self.oracle_mode not in ("serial", "async"):

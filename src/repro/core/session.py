@@ -32,7 +32,6 @@ from __future__ import annotations
 import pickle
 import time
 from collections import deque
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -48,10 +47,9 @@ from repro.core.predictor import PerformancePredictor
 from repro.core.result import FastFTResult, StepRecord, TimeBreakdown
 from repro.core.reward import NoveltyWeightSchedule, downstream_reward, pseudo_reward
 from repro.core.sequence import FeatureSpace, TransformationPlan
-from repro.core.state import StateCache, describe_matrix
+from repro.core.state import StateCache
 from repro.core.tokens import TokenVocabulary
 from repro.ml.evaluation import TASKS, DownstreamEvaluator, default_model_for_task
-from repro.ml.mutual_info import mutual_info_with_target
 from repro.ml.preprocessing import sanitize_features
 from repro.nn.tensor import no_grad
 
@@ -359,15 +357,8 @@ class SearchSession:
         self._seen_expressions: set[str] = set()
         self._unencountered_total = 0
 
-        # Columnar-arena inner loop (cfg.inner_loop == "arena"): per-episode
-        # incremental caches, all bit-identical to the naive reference path.
-        # Subsampled MI clustering can only be cached when the row subsample
-        # is pinned by a seed; an unseeded session falls back to the
-        # reference clustering (the rest of the arena path still applies).
-        self._use_arena = cfg.inner_loop == "arena"
-        self._incremental_clustering = self._use_arena and not (
-            cfg.seed is None and self._X.shape[0] > cfg.mi_max_rows
-        )
+        # Per-episode incremental caches (derived state; see
+        # _build_episode_caches).
         self._state_cache: StateCache | None = None
         self._clusterer: IncrementalClusterer | None = None
         self._relevance_cache: RelevanceCache | None = None
@@ -483,33 +474,24 @@ class SearchSession:
     def _recluster(
         self, space: FeatureSpace
     ) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
-        if self._state_cache is not None:
-            # Arena path: per-column stats and MI estimates are cached by
-            # feature id (columns are immutable), so only newly created
-            # features cost O(n_samples) work — bit-identical to the
-            # reference branch below, which is pinned by the determinism
-            # goldens and tests/core/test_incremental_search.py.
-            live = space.live_ids_view
-            if self._clusterer is not None:
-                column_clusters = self._clusterer.cluster(space, self._y, live)
-            else:  # unseeded row subsampling: reference clustering per call
-                column_clusters = self._reference_clusters(sanitize_features(space.matrix()))
-            fid_clusters = self._cluster_fids(space, column_clusters)
-            overall_rep = self._state_cache.describe(live)
-            cluster_reps = np.stack(
-                [self._state_cache.describe(fids) for fids in fid_clusters]
-            )
-            return fid_clusters, overall_rep, cluster_reps
-        matrix = sanitize_features(space.matrix())
-        column_clusters = self._reference_clusters(matrix)
+        # Per-column stats and MI estimates are cached by feature id
+        # (columns are immutable), so only newly created features cost
+        # O(n_samples) work — bit-identical to the seed implementation's
+        # full recomputation (tests/reference/), which the determinism
+        # goldens and tests/core/test_incremental_search.py pin.
+        live = space.live_ids_view
+        if self._clusterer is not None:
+            column_clusters = self._clusterer.cluster(space, self._y, live)
+        else:  # unseeded row subsampling: fresh rows, full clustering per call
+            column_clusters = self._cluster_matrix(sanitize_features(space.matrix()))
         fid_clusters = self._cluster_fids(space, column_clusters)
-        overall_rep = describe_matrix(matrix)
+        overall_rep = self._state_cache.describe(live)
         cluster_reps = np.stack(
-            [describe_matrix(space.matrix(fids)) for fids in fid_clusters]
+            [self._state_cache.describe(fids) for fids in fid_clusters]
         )
         return fid_clusters, overall_rep, cluster_reps
 
-    def _reference_clusters(self, matrix: np.ndarray) -> list[list[int]]:
+    def _cluster_matrix(self, matrix: np.ndarray) -> list[list[int]]:
         cfg = self.config
         return cluster_features(
             matrix,
@@ -525,15 +507,8 @@ class SearchSession:
     def _prune(self, space: FeatureSpace) -> None:
         if space.n_features <= self._feature_cap:
             return
-        if self._relevance_cache is not None:
-            live = space.live_ids_view
-            relevance = self._relevance_cache.relevance(space, self._y, live)
-        else:
-            matrix = sanitize_features(space.matrix())
-            relevance = mutual_info_with_target(
-                matrix, self._y, task=self.task, n_bins=self.config.mi_bins
-            )
-            live = space.live_ids
+        live = space.live_ids_view
+        relevance = self._relevance_cache.relevance(space, self._y, live)
         order = np.argsort(-relevance)
         keep = [live[i] for i in order[: self._feature_cap]]
         space.prune(keep)
@@ -559,34 +534,44 @@ class SearchSession:
 
     # -- the step machine ---------------------------------------------------------
 
-    def _begin_episode(self) -> None:
+    def _new_space(self) -> FeatureSpace:
+        return FeatureSpace(self._X, self._feature_names)
+
+    def _build_episode_caches(self) -> None:
+        """(Re)build the per-episode incremental caches over ``self._space``.
+
+        Derived state: memos keyed by feature id (ids restart every
+        episode) whose entries are pure functions of the immutable columns
+        and the seed. Checkpoints leave them out; a resumed session refills
+        them on demand with the same bits.
+        """
         cfg = self.config
-        self._space = FeatureSpace(
-            self._X,
-            self._feature_names,
-            backend="arena" if self._use_arena else "dict",
-        )
-        if self._use_arena:
-            # Feature ids restart every episode, so the incremental caches
-            # are rebuilt alongside the space they describe.
-            self._state_cache = StateCache(self._space)
-            self._relevance_cache = RelevanceCache(self.task, cfg.mi_bins)
-            self._clusterer = (
-                IncrementalClusterer(
-                    task=self.task,
-                    distance_threshold=cfg.cluster_threshold,
-                    max_clusters=cfg.max_clusters,
-                    n_bins=cfg.mi_bins,
-                    max_rows=cfg.mi_max_rows,
-                    seed=cfg.seed,
-                )
-                if self._incremental_clustering
-                else None
+        space = self._space
+        if space is None:
+            self._state_cache = self._relevance_cache = self._clusterer = None
+            return
+        self._state_cache = StateCache(space)
+        self._relevance_cache = RelevanceCache(self.task, cfg.mi_bins)
+        # Subsampled MI clustering can only be cached when the row
+        # subsample is pinned by a seed; an unseeded session clusters the
+        # full matrix on every call instead.
+        unseeded_subsample = cfg.seed is None and self._X.shape[0] > cfg.mi_max_rows
+        self._clusterer = (
+            None
+            if unseeded_subsample
+            else IncrementalClusterer(
+                task=self.task,
+                distance_threshold=cfg.cluster_threshold,
+                max_clusters=cfg.max_clusters,
+                n_bins=cfg.mi_bins,
+                max_rows=cfg.mi_max_rows,
+                seed=cfg.seed,
             )
-        else:
-            self._state_cache = None
-            self._relevance_cache = None
-            self._clusterer = None
+        )
+
+    def _begin_episode(self) -> None:
+        self._space = self._new_space()
+        self._build_episode_caches()
         self._body_tokens = []
         self._prev_seq = self._vocab.finalize(self._body_tokens, self.config.max_seq_len)
 
@@ -598,6 +583,24 @@ class SearchSession:
         self._prev_score_used = self._base_score
         self._prev_phi = None
         self._callbacks.on_episode_start(self, self._episode)
+
+    def _score_novelty(self, seq: np.ndarray) -> tuple[float, np.ndarray]:
+        """Raw novelty score and frozen-target embedding of ``seq``.
+
+        One fused pass: the frozen target encodes the sequence once for
+        both the distillation gap and the Fig 14 embedding. Inference-only
+        forwards skip autograd bookkeeping — same numpy expressions, so
+        both outputs are bit-identical to separate recorded passes.
+        """
+        with no_grad():
+            return self._novelty.score_with_embedding(seq)
+
+    def _predict_batch(self, seqs: list[np.ndarray]) -> np.ndarray:
+        """φ estimates through the batch entry point; the masked exact
+        batch encode makes batching bit-identical to per-sequence
+        forwards, and skipping autograd bookkeeping changes no bits."""
+        with no_grad():
+            return self._predictor.predict_batch(seqs)
 
     def _explore_step(self) -> StepRecord:
         cfg = self.config
@@ -646,22 +649,9 @@ class SearchSession:
         time_estimation = 0.0
         time_evaluation = 0.0
 
-        # Inference-only forwards skip autograd bookkeeping on the arena
-        # path — same numpy expressions, so outputs are bit-identical; the
-        # naive arm keeps recording graphs, as the seed implementation did.
-        inference = no_grad if self._use_arena else nullcontext
-
         if self._novelty is not None and self._components_trained:
             t1 = time.perf_counter()
-            if self._use_arena:
-                # Fused pass: the frozen target encodes the sequence once
-                # for both the distillation gap and the Fig 14 embedding
-                # (bit-identical; the naive arm keeps the two passes).
-                with no_grad():
-                    nov_raw, emb = self._novelty.score_with_embedding(seq)
-            else:
-                nov_raw = self._novelty.score(seq)
-                emb = None
+            nov_raw, emb = self._score_novelty(seq)
             # Running-std normalization keeps the intrinsic term on the same
             # scale as the performance delta regardless of the orthogonal
             # target's gain (standard RND practice); the raw value feeds the
@@ -671,8 +661,6 @@ class SearchSession:
                 nov = float(np.tanh(nov_raw / scale))
             else:
                 nov = 1.0 if nov_raw > 0 else 0.0
-            if emb is None:
-                emb = self._novelty.embedding(seq)
             nov_dist = novelty_distance(emb, self._embedding_history.view())
             self._embedding_history.append(emb)
             time_estimation += time.perf_counter() - t1
@@ -680,18 +668,14 @@ class SearchSession:
         deferred = False
         if use_components:
             t1 = time.perf_counter()
-            # Candidate scoring goes through the batch entry point. The
-            # masked exact batch encode makes batching bit-identical to
-            # per-sequence forwards, so the previous sequence — needed
-            # once per episode for the first reward delta — shares the
-            # current sequence's pass.
-            with inference():
-                if self._prev_phi is None:
-                    phis = self._predictor.predict_batch([seq, self._prev_seq])
-                    phi_i = float(phis[0])
-                    self._prev_phi = float(phis[1])
-                else:
-                    phi_i = float(self._predictor.predict_batch([seq])[0])
+            # The previous sequence — needed once per episode for the
+            # first reward delta — shares the current sequence's pass.
+            if self._prev_phi is None:
+                phis = self._predict_batch([seq, self._prev_seq])
+                phi_i = float(phis[0])
+                self._prev_phi = float(phis[1])
+            else:
+                phi_i = float(self._predict_batch([seq])[0])
             time_estimation += time.perf_counter() - t1
 
             triggered = self._should_trigger(phi_i, nov_raw)
@@ -955,6 +939,10 @@ class SearchSession:
         state["_callbacks"] = None
         state["_async_oracle"] = None
         state["_tracer"] = None
+        # The per-episode caches are derived state, rebuilt on resume.
+        state["_state_cache"] = None
+        state["_relevance_cache"] = None
+        state["_clusterer"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -962,26 +950,18 @@ class SearchSession:
         self._callbacks = CallbackList()
         if self.config.verbose:
             self._callbacks.append(VerboseLogger())
-        # Checkpoints written before the arena inner loop: adopt their list
-        # of embeddings, default the config field, and resume the current
-        # episode on the reference path (its FeatureSpace is a dict-backend
-        # space without caches); the next episode re-enters the arena path.
-        if not hasattr(self.config, "inner_loop"):
-            self.config.inner_loop = "arena"
+        # Checkpoints written before the embedding log: adopt their list
+        # of embeddings.
         if isinstance(getattr(self, "_embedding_history", None), list):
             log = EmbeddingLog()
             for emb in self._embedding_history:
                 log.append(emb)
             self._embedding_history = log
-        if "_use_arena" not in state:
-            cfg = self.config
-            self._use_arena = cfg.inner_loop == "arena"
-            self._incremental_clustering = self._use_arena and not (
-                cfg.seed is None and self._X.shape[0] > cfg.mi_max_rows
-            )
-            self._state_cache = None
-            self._relevance_cache = None
-            self._clusterer = None
+        # The per-episode caches never travel in a checkpoint; rebuild them
+        # over the restored space (a pre-arena checkpoint's dict-of-columns
+        # space was copied into an arena by FeatureSpace.__setstate__).
+        if self._started:
+            self._build_episode_caches()
         # Checkpoints written before the async oracle: default the config
         # knobs and the (empty) deferred-evaluation state.
         for name, default in (

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The seed-implementation oracles in tests/reference/ import as
+# ``reference``; tests/ is not a package, so make that explicit.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 @pytest.fixture

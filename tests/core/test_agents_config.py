@@ -110,6 +110,10 @@ class TestFastFTConfig:
             FastFTConfig(memory_size=0)
         with pytest.raises(ValueError):
             FastFTConfig(seq_model="gru")
+        # Zero MI rows used to pass here and crash the first episode with a
+        # bare numpy IndexError inside the clusterer.
+        with pytest.raises(ValueError, match="mi_max_rows"):
+            FastFTConfig(mi_max_rows=0)
 
     def test_resolved_max_features(self):
         cfg = FastFTConfig()

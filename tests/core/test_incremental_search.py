@@ -1,11 +1,12 @@
-"""Bit-identity proofs for the arena inner loop (PR 5).
+"""Bit-identity proofs for the arena inner loop.
 
 The columnar-arena FeatureSpace, the incremental state/MI caches and the
 fused estimation passes all promise *exactly* the seed semantics — same
-bits, just less work. Each component is checked here against the naive
-reference it replaces, and the whole search is checked end to end:
-``inner_loop="arena"`` vs ``inner_loop="naive"`` must agree field for
-field on every step record, score repr and plan byte.
+bits, just less work. Each component is checked here against the seed
+computation it replaces, run on the seed's dict store from
+``tests/reference/``, and the whole search is checked end to end: the
+runtime ``SearchSession`` vs ``reference.SeedLoopSession`` must agree
+field for field on every step record, score repr and plan byte.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference import DictFeatureSpace, SeedLoopSession
 from repro.core.clustering import (
     IncrementalClusterer,
     RelevanceCache,
@@ -28,10 +30,10 @@ from repro.ml.mutual_info import mutual_info_with_target
 from repro.ml.preprocessing import sanitize_features
 
 
-def _grown_space(rng, n=120, d=4, steps=5, backend="arena") -> FeatureSpace:
+def _grown_space(rng, n=120, d=4, steps=5, space_type=FeatureSpace) -> FeatureSpace:
     """A space grown the way a search grows one (ops + a mid-way prune)."""
     X = rng.normal(size=(n, d)) * np.exp(rng.normal(size=(n, d)))
-    space = FeatureSpace(X, backend=backend)
+    space = space_type(X)
     unary = ["square", "log", "tanh"]
     for step in range(steps):
         live = space.live_ids_view
@@ -47,16 +49,26 @@ def _grown_space(rng, n=120, d=4, steps=5, backend="arena") -> FeatureSpace:
     return space
 
 
+def _grown_pair(rng, **kwargs) -> tuple[FeatureSpace, DictFeatureSpace]:
+    """The same grown space twice: on the arena store (drawing from ``rng``)
+    and on the seed's dict store (drawing from an identical stream)."""
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    seed_store = _grown_space(twin, space_type=DictFeatureSpace, **kwargs)
+    return _grown_space(rng, **kwargs), seed_store
+
+
 class TestStateCacheBitIdentity:
     def test_describe_matches_describe_matrix_across_widths(self, rng):
-        space = _grown_space(rng)
+        space, seed_store = _grown_pair(rng)
         cache = StateCache(space)
         live = space.live_ids
+        assert live == seed_store.live_ids
         # Full live set, sub-clusters of every width, and singletons, in an
         # order that forces cache reuse across different contexts.
         requests = [live, live[:2], [live[0]], live[1:], [live[-1]], live]
         for fids in requests:
-            expected = describe_matrix(space.matrix(fids))
+            expected = describe_matrix(seed_store.matrix(fids))
             got = cache.describe(fids)
             assert got.tobytes() == expected.tobytes()
 
@@ -83,25 +95,28 @@ class TestStateCacheBitIdentity:
 class TestIncrementalClusteringBitIdentity:
     @pytest.mark.parametrize("n_rows", [120, 600])  # below / above max_rows
     def test_cluster_matches_reference_across_steps(self, rng, n_rows):
-        space = _grown_space(rng, n=n_rows)
+        space, seed_store = _grown_pair(rng, n=n_rows)
         y = (space.values(0) + space.values(1) > 0).astype(int)
         clusterer = IncrementalClusterer(
             task="classification", max_clusters=3, n_bins=8, max_rows=256, seed=0
         )
         for _ in range(4):  # repeated calls exercise the cross-step caches
             live = space.live_ids_view
+            assert live == seed_store.live_ids
             expected = cluster_features(
-                sanitize_features(space.matrix()), y,
+                sanitize_features(seed_store.matrix()), y,
                 task="classification", max_clusters=3, n_bins=8,
                 max_rows=256, seed=0,
             )
             assert clusterer.cluster(space, y, live) == expected
             # Grow and prune between calls so live order flips and new
             # pairs appear (the ordered-pair MI cache must track both).
-            space.apply_unary("tanh", [live[0]])
-            keep = space.live_ids
-            keep.reverse()
-            space.prune(keep)
+            head = live[0]
+            for fs in (space, seed_store):
+                fs.apply_unary("tanh", [head])
+                keep = fs.live_ids
+                keep.reverse()
+                fs.prune(keep)
 
     def test_single_feature_returns_singleton(self, rng):
         X = rng.normal(size=(30, 1))
@@ -121,18 +136,21 @@ class TestIncrementalClusteringBitIdentity:
 class TestRelevanceCacheBitIdentity:
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_relevance_matches_batch_function(self, rng, task):
-        space = _grown_space(rng)
+        space, seed_store = _grown_pair(rng)
         base = space.values(0) + 0.5 * space.values(1)
         y = (base > 0).astype(int) if task == "classification" else np.asarray(base)
         cache = RelevanceCache(task, n_bins=8)
         for _ in range(3):
             live = space.live_ids_view
+            assert live == seed_store.live_ids
             expected = mutual_info_with_target(
-                sanitize_features(space.matrix()), y, task=task, n_bins=8
+                sanitize_features(seed_store.matrix()), y, task=task, n_bins=8
             )
             got = cache.relevance(space, y, live)
             assert got.tobytes() == expected.tobytes()
-            space.apply_unary("square", [live[-1]])
+            head = live[-1]  # live is a view: it grows with the next op
+            for fs in (space, seed_store):
+                fs.apply_unary("square", [head])
 
 
 class TestFusedEstimationBitIdentity:
@@ -184,11 +202,9 @@ class TestSessionArenaVsNaive:
             seed=11,
         )
         results = {}
-        for inner_loop in ("naive", "arena"):
-            session = SearchSession(
-                X, y, task, config=FastFTConfig(inner_loop=inner_loop, **kwargs)
-            )
-            results[inner_loop] = session.run()
+        for arm, session_type in (("naive", SeedLoopSession), ("arena", SearchSession)):
+            session = session_type(X, y, task, config=FastFTConfig(**kwargs))
+            results[arm] = session.run()
         naive, arena = results["naive"], results["arena"]
         assert repr(naive.base_score) == repr(arena.base_score)
         assert repr(naive.best_score) == repr(arena.best_score)

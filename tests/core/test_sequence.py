@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import DictFeatureSpace
 from repro.core.operations import BINARY_OPERATIONS, UNARY_OPERATIONS
 from repro.core.sequence import FeatureSpace
 
@@ -106,18 +107,15 @@ class TestFeatureSpace:
         # Without sampling no generator is needed.
         assert fs.apply_binary("add", [0], [1])
 
-    def test_unknown_backend_rejected(self, rng):
-        with pytest.raises(ValueError, match="backend"):
-            FeatureSpace(rng.normal(size=(5, 2)), backend="sparse")
-
 
 class TestArenaBackend:
-    """The columnar arena must behave exactly like the dict reference."""
+    """The columnar arena must behave exactly like the seed's dict store
+    (``tests/reference/``)."""
 
     @staticmethod
     def _pair(rng, n=40, d=2):
         X = rng.normal(size=(n, d))
-        return FeatureSpace(X, backend="arena"), FeatureSpace(X, backend="dict")
+        return FeatureSpace(X), DictFeatureSpace(X)
 
     def test_growth_across_multiple_doublings(self, rng):
         arena, reference = self._pair(rng)
@@ -158,8 +156,8 @@ class TestArenaBackend:
 
     def test_snapshot_after_prune_plan_equivalence(self, rng):
         X = rng.normal(size=(30, 3))
-        arena = FeatureSpace(X, backend="arena")
-        reference = FeatureSpace(X, backend="dict")
+        arena = FeatureSpace(X)
+        reference = DictFeatureSpace(X)
         for fs in (arena, reference):
             mid = fs.apply_unary("square", [0])[0]
             top = fs.apply_binary("add", [mid], [1])[0]
@@ -191,7 +189,7 @@ class TestArenaBackend:
 
     def test_matrix_rejects_unallocated_fids(self, rng):
         """Regression: the gather path must never read uninitialized arena
-        slots for a never-allocated fid (dict backend raises KeyError)."""
+        slots for a never-allocated fid (the dict store raises KeyError)."""
         arena, reference = self._pair(rng, d=3)  # capacity 8, fids 0-2 live
         for fs in (arena, reference):
             with pytest.raises(KeyError):
@@ -212,9 +210,9 @@ class TestArenaBackend:
         arena.apply_unary("square", [0])
         restored = pickle.loads(pickle.dumps(arena))
         assert restored.matrix().tobytes() == arena.matrix().tobytes()
-        assert restored.backend == "arena"
+        assert restored.__dict__.keys() == arena.__dict__.keys()
         # A pre-arena pickle carries only the dict store; __setstate__
-        # adopts it as the dict backend and rebuilds the signature counts.
+        # copies its columns into an arena and rebuilds the signature counts.
         reference.apply_unary("square", [0])
         legacy_state = {
             k: v
@@ -223,10 +221,16 @@ class TestArenaBackend:
         }
         migrated = FeatureSpace.__new__(FeatureSpace)
         migrated.__setstate__(legacy_state)
-        assert migrated.backend == "dict"
+        assert "_columns" not in migrated.__dict__
+        assert migrated.__dict__.keys() == arena.__dict__.keys()
         assert migrated.n_samples == reference.n_samples
         assert migrated.matrix().tobytes() == reference.matrix().tobytes()
+        assert migrated.matrix_view().tobytes("C") == reference.matrix().tobytes()
         assert migrated._is_duplicate("square", (0,))
+        # The migrated arena keeps growing like a fresh one.
+        new = migrated.apply_unary("tanh", [3])
+        assert new == reference.apply_unary("tanh", [3])
+        assert migrated.matrix().tobytes() == reference.matrix().tobytes()
 
 
 class TestTransformationPlan:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copyreg
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from repro.core import (
     VerboseLogger,
 )
 from repro.core.callbacks import Callback
+from repro.core.sequence import FeatureSpace
+from repro.core.session import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 
 
 def tiny_config(**overrides) -> FastFTConfig:
@@ -47,6 +52,18 @@ def problem():
 def deterministic_history(result):
     """Step history minus wall-clock timing fields."""
     return [r.deterministic_dict() for r in result.history]
+
+
+class _PickledAs:
+    """Pickles as an instance of ``cls`` whose state is exactly ``state``,
+    bypassing ``cls.__getstate__`` — how an older build's object with that
+    ``__dict__`` was written. Unpickling runs today's ``cls.__setstate__``."""
+
+    def __init__(self, cls, state: dict) -> None:
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return copyreg._reconstructor, (self.cls, object, None), self.state
 
 
 class TestStepping:
@@ -157,6 +174,60 @@ class TestCheckpointResume:
 
         resumed = SearchSession.resume(path)
         assert resumed.global_step == interrupt_at
+        result = resumed.run()
+
+        assert result.best_score == uninterrupted.best_score
+        assert result.base_score == uninterrupted.base_score
+        assert result.n_downstream_calls == uninterrupted.n_downstream_calls
+        assert result.plan.expressions() == uninterrupted.plan.expressions()
+        assert deterministic_history(result) == deterministic_history(uninterrupted)
+
+    @pytest.mark.parametrize("interrupt_at", [2, 4])
+    def test_pre_arena_checkpoint_resumes_bit_identical(
+        self, problem, tmp_path, interrupt_at
+    ):
+        """A mid-episode checkpoint written before the arena inner loop (a
+        dict-of-columns space, no incremental caches, a list of embeddings)
+        resumes on the arena path and lands on the uninterrupted run."""
+        X, y = problem
+        uninterrupted = SearchSession(X, y, "classification", config=tiny_config()).run()
+
+        session = SearchSession(X, y, "classification", config=tiny_config())
+        for _ in range(interrupt_at):
+            session.step()
+        space = session._space
+        legacy_space = {
+            k: v
+            for k, v in space.__dict__.items()
+            if k not in ("_backend", "_arena", "_n_samples", "_sig_count")
+        }
+        legacy_space["_columns"] = {
+            fid: np.array(space.values(fid)) for fid in range(space._next_fid)
+        }
+        legacy_session = {
+            k: v
+            for k, v in session.__getstate__().items()
+            if k not in ("_use_arena", "_state_cache", "_relevance_cache", "_clusterer")
+        }
+        legacy_session["_space"] = _PickledAs(FeatureSpace, legacy_space)
+        embeddings = session._embedding_history.view()
+        legacy_session["_embedding_history"] = [] if embeddings is None else list(embeddings)
+        path = tmp_path / "legacy.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format": CHECKPOINT_FORMAT,
+                    "version": CHECKPOINT_VERSION,
+                    "session": _PickledAs(SearchSession, legacy_session),
+                }
+            )
+        )
+        del session
+
+        resumed = SearchSession.resume(str(path))
+        assert resumed.global_step == interrupt_at
+        assert type(resumed._space._arena) is np.ndarray
+        assert resumed._state_cache is not None and resumed._clusterer is not None
         result = resumed.run()
 
         assert result.best_score == uninterrupted.best_score

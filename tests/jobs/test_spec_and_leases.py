@@ -44,6 +44,17 @@ class TestSpec:
         )
         assert restored.config == cfg
 
+    def test_config_json_with_retired_fields_still_loads(self):
+        # Sweep specs and results written while FastFTConfig still had the
+        # inner-loop selector carry it in their config JSON; they must keep
+        # loading (the field is dropped) so existing sweep dirs resume.
+        cfg = FastFTConfig(predictor_head_dims=(8, 4), seed=3)
+        spec = SweepSpec(task="classification", seeds=[0, 1], config=cfg)
+        payload = json.loads(json.dumps(spec.to_jsonable()))
+        payload["config"]["inner_loop"] = "naive"
+        assert FastFTConfig.from_jsonable(payload["config"]) == cfg
+        assert SweepSpec.from_jsonable(payload) == spec
+
     def test_uninitialized_dir_is_not_a_sweep(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not an initialized sweep"):
             load_spec(str(tmp_path))

@@ -29,6 +29,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from reference import DictFeatureSpace  # noqa: E402
 from repro.core.operations import (  # noqa: E402
     BINARY_OPERATIONS,
     OPERATIONS,
@@ -131,13 +132,13 @@ def test_plan_json_roundtrip_is_lossless(data):
     assert restored.apply(X).tobytes() == plan.apply(X).tobytes()
 
 
-# -- arena FeatureSpace: byte-identical to the dict reference ------------------
+# -- arena FeatureSpace: byte-identical to the seed's dict store ---------------
 
 
 @SETTINGS
 @given(data=st.data())
 def test_arena_matrix_byte_identical_to_column_stack_reference(data):
-    """Drive an arena-backed and a dict-backed space through the same
+    """Drive an arena space and the seed's dict store through the same
     random grow/prune program: every matrix() gather must be byte-identical
     to the naive per-column ``np.column_stack`` reference, across arena
     doublings and non-prefix live sets."""
@@ -148,8 +149,8 @@ def test_arena_matrix_byte_identical_to_column_stack_reference(data):
     X = rng.normal(size=(n, d)) * data.draw(
         st.sampled_from([1e-3, 1.0, 1e4]), label="scale"
     )
-    arena = FeatureSpace(X, backend="arena")
-    reference = FeatureSpace(X, backend="dict")
+    arena = FeatureSpace(X)
+    reference = DictFeatureSpace(X)
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         op = data.draw(st.sampled_from(OPERATIONS))
         live = reference.live_ids
